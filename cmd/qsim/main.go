@@ -52,13 +52,11 @@ func main() {
 		skDepth   = flag.Int("skdepth", 1, "gse: Solovay–Kitaev recursion depth")
 		netLen    = flag.Int("netlen", 10, "gse: synthesizer base-net word length")
 		shots     = flag.Int("shots", 0, "measure the circuit this many times and print the histogram (required for dynamic circuits)")
-		samples   = flag.Int("samples", 0, "deprecated alias for -shots")
 		seed      = flag.Int64("seed", 1, "deterministic RNG seed for -shots (same seed, same histogram)")
 		strategy  = flag.String("strategy", "auto", "shots strategy: auto, sample (one simulation, N draws), resimulate (per-shot replay with collapse)")
 		topK      = flag.Int("top", 8, "print the K most probable outcomes")
 		stats     = flag.Bool("stats", false, "print manager statistics")
 		ctSize    = flag.Int("ctsize", core.DefaultCTSize, "compute-table slots (rounded up to a power of two)")
-		intraW    = flag.Int("intra-workers", 1, "intra-operation worker goroutines (1 = sequential; output is identical for every setting; -repr num with -eps > 0 stays sequential)")
 		prune     = flag.Int("prune", 0, "garbage-collect when the unique table exceeds this many nodes (0 = never)")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget (0 = none); on expiry partial stats are printed, not a crash")
 		maxNodes  = flag.Int("max-nodes", 0, "budget: max live QMDD nodes (0 = unlimited)")
@@ -109,10 +107,6 @@ func main() {
 	}
 
 	nshots := *shots
-	if nshots == 0 && *samples > 0 {
-		fmt.Fprintln(os.Stderr, "qsim: -samples is deprecated; use -shots")
-		nshots = *samples
-	}
 	if *minFid < 0 || *minFid > 1 {
 		fatal(fmt.Errorf("-min-fidelity must be in [0, 1], got %v", *minFid))
 	}
@@ -164,7 +158,6 @@ func main() {
 	switch *repr {
 	case "alg":
 		m := core.NewManager[alg.Q](alg.Ring{}, norm, core.WithComputeTableSize(*ctSize))
-		m.SetIntraWorkers(*intraW)
 		m.SetBudget(budget)
 		if nshots > 0 {
 			runShots(ctx, m, c, sim.ShotOptions{Shots: nshots, Seed: *seed, Strategy: *strategy, AutoPrune: *prune}, *stats)
@@ -177,7 +170,6 @@ func main() {
 		runAndReport(ctx, m, ampCirc, *topK, *stats, true, *verify, *prune, *minFid, ps, ckpt)
 	case "num":
 		m := core.NewManager[complex128](num.NewRing(*eps), norm, core.WithComputeTableSize(*ctSize))
-		m.SetIntraWorkers(*intraW)
 		m.SetBudget(budget)
 		if nshots > 0 {
 			runShots(ctx, m, c, sim.ShotOptions{Shots: nshots, Seed: *seed, Strategy: *strategy, AutoPrune: *prune}, *stats)

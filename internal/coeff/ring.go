@@ -61,9 +61,9 @@ type Hasher[T any] interface {
 // algebraic ring qualifies (stateless arithmetic); the numerical ring
 // qualifies only at ε = 0, where its tolerance table is inert — with ε > 0
 // the nearest-wins interning makes the canonical representative depend on
-// insertion order, so parallel recursion would break determinism. The QMDD
-// core refuses intra-operation parallelism unless the ring reports true
-// (core.Manager.SetIntraWorkers).
+// insertion order. The QMDD core runs each manager on one goroutine and
+// does not consult the marker; ring wrappers forward it so the property
+// survives wrapping.
 type ConcurrentRing interface {
 	ConcurrentSafe() bool
 }

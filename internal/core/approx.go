@@ -50,8 +50,8 @@ type edgeRef[T any] struct {
 }
 
 // approxCand is one candidate edge for zeroing, ranked by contribution with
-// DFS-order tie-breaks so the greedy pass is deterministic at any worker
-// count (node IDs are allocation-ordered and therefore are not).
+// DFS-order tie-breaks so the greedy pass depends only on the diagram (node
+// IDs are allocation-ordered and therefore depend on the manager's history).
 type approxCand[T any] struct {
 	ref     edgeRef[T]
 	contrib float64

@@ -194,35 +194,6 @@ func TestApproximateShrinks(t *testing.T) {
 	}
 }
 
-// TestApproximateDeterminismAcrossWorkers: the same build sequence at
-// different intra-op worker counts allocates node IDs in different orders;
-// the approximation (ranked with DFS-order tie-breaks, never IDs) must still
-// produce the identical diagram and the identical report.
-func TestApproximateDeterminismAcrossWorkers(t *testing.T) {
-	const n = 12
-	ref := algManager(NormLeft)
-	refState := buildWalk(ref, 99)
-	refApprox, refRes, err := ref.Approximate(refState, n, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		m := algManager(NormLeft)
-		m.SetIntraWorkers(workers)
-		st := buildWalk(m, 99)
-		approx, res, err := m.Approximate(st, n, 0.9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != refRes {
-			t.Fatalf("workers=%d: report %+v differs from sequential %+v", workers, res, refRes)
-		}
-		if !CrossEqual(ref, refApprox, m, approx) {
-			t.Fatalf("workers=%d: approximate diagram differs from sequential run", workers)
-		}
-	}
-}
-
 // FuzzApproximate: random diagrams × fidelity budgets must never report a
 // fidelity below the floor, disagree with the dense reference, or return a
 // structurally invalid diagram.

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/alg"
 	"repro/internal/num"
 )
 
@@ -168,5 +170,66 @@ func TestSetBudgetResetsClockNotPeaks(t *testing.T) {
 	after := m.Peak()
 	if after.Nodes != before.Nodes || after.Weights != before.Weights {
 		t.Fatalf("SetBudget reset the peaks: %+v vs %+v", after, before)
+	}
+}
+
+// localH builds an n-qubit Hadamard LocalGate at the given target level.
+func localH[T any](m *Manager[T], target int, ctrls []LocalControl) *LocalGate[T] {
+	inv, _ := m.R.FromComplex(complex(1/1.4142135623730951, 0))
+	if _, isQ := any(m.R).(alg.Ring); isQ {
+		inv = m.R.FromQ(alg.QInvSqrt2)
+	}
+	base := [2][2]T{{inv, inv}, {inv, m.R.Neg(inv)}}
+	return m.PrepareLocal(base, target, ctrls)
+}
+
+// buildWalk drives a deterministic pseudo-random sequence of Add and
+// ApplyLocal calls over a 12-qubit state and returns the final edge.
+func buildWalk[T any](m *Manager[T], seed int64) Edge[T] {
+	const n = 12
+	r := rand.New(rand.NewSource(seed))
+	state := m.BasisState(n, uint64(r.Intn(1<<n)))
+	for i := 0; i < 60; i++ {
+		target := 1 + r.Intn(n)
+		var ctrls []LocalControl
+		if r.Intn(2) == 0 {
+			c := 1 + r.Intn(n)
+			if c != target {
+				ctrls = []LocalControl{{Level: c, Neg: r.Intn(2) == 0}}
+			}
+		}
+		state = m.ApplyLocal(localH(m, target, ctrls), state)
+		if r.Intn(4) == 0 {
+			other := m.BasisState(n, uint64(r.Intn(1<<n)))
+			state = m.Add(state, other)
+		}
+	}
+	return state
+}
+
+// TestApplyLocalBudgetTrip: a budget violation deep inside an ApplyLocal
+// recursion unwinds as one *BudgetError, and the manager stays usable: with
+// the budget cleared it still computes what a fresh manager computes.
+func TestApplyLocalBudgetTrip(t *testing.T) {
+	m := algManager(NormLeft)
+	state := buildWalk(m, 12)
+	m.SetBudget(Budget{MaxNodes: m.Stats().UniqueNodes + 2})
+	err := func() (err error) {
+		defer RecoverTo(&err)
+		for i := 0; i < 40; i++ {
+			state = m.ApplyLocal(localH(m, 1+i%12, nil), state)
+		}
+		return nil
+	}()
+	var be *BudgetError
+	if !errors.As(err, &be) || be.Limit != "nodes" {
+		t.Fatalf("ApplyLocal under a tiny budget returned %v, want a nodes *BudgetError", err)
+	}
+	m.SetBudget(Budget{})
+	after := m.ApplyLocal(localH(m, 3, nil), m.BasisState(12, 0))
+	ref := algManager(NormLeft)
+	want := ref.ApplyLocal(localH(ref, 3, nil), ref.BasisState(12, 0))
+	if !CrossEqual(ref, want, m, after) {
+		t.Fatal("manager computes a different diagram after the budget trip")
 	}
 }

@@ -1,6 +1,6 @@
 package core
 
-import "sync"
+import "math/bits"
 
 // computeTable memoizes operation results. Like classic DD packages it is a
 // fixed-size hash table with overwrite-on-collision: bounded memory, O(1)
@@ -10,10 +10,11 @@ import "sync"
 // comparing the stored operands, so a collision can only cost a
 // recomputation, never a wrong result.
 //
-// The table is striped like the unique and intern tables (hash.go): the top
-// hash bits pick a shard, the low bits a slot. In shared mode each get/put
-// takes the shard mutex; a lost race costs at most a recomputation because a
-// concurrent overwrite is just an early collision eviction.
+// The slot layout is split into ctBlockCount equal blocks: the top hash bits
+// pick a block, the low bits a slot inside it. Which keys collide is part of
+// the results at ε > 0 — an evicted entry is recomputed, and the recompute
+// interns through the order-dependent tolerance table — so the layout stays
+// fixed.
 
 // ctOp tags the operation a compute-table entry memoizes. ctFree marks an
 // empty slot, so real tags start at 1.
@@ -51,83 +52,50 @@ type ctEntry[T any] struct {
 	val Edge[T]
 }
 
-type ctShard[T any] struct {
-	mu      sync.Mutex
-	mask    uint64
-	entries []ctEntry[T]
-	filled  int // occupied slots (load-factor reporting)
+// The compute table has ctBlockCount blocks of equal size.
+const (
+	ctBlockBits  = 4
+	ctBlockCount = 1 << ctBlockBits
+)
+
+type computeTable[T any] struct {
+	entries   []ctEntry[T]
+	blockBits uint   // log2 of the slots per block
+	mask      uint64 // slots per block − 1
+	filled    int    // occupied slots (load-factor reporting)
 
 	lookups, hits uint64
 }
 
-type computeTable[T any] struct {
-	shared bool
-	shards [tableShardCount]ctShard[T]
-}
-
-// newComputeTable splits size total slots across the shards.
+// newComputeTable splits size total slots across the blocks.
 func newComputeTable[T any](size int) *computeTable[T] {
 	if size <= 0 || size&(size-1) != 0 {
 		panic("core: compute table size must be a positive power of two")
 	}
-	per := size / tableShardCount
-	if per < 2 {
-		per = 2
+	per := max(size/ctBlockCount, 2)
+	return &computeTable[T]{
+		entries:   make([]ctEntry[T], per*ctBlockCount),
+		blockBits: uint(bits.TrailingZeros(uint(per))),
+		mask:      uint64(per - 1),
 	}
-	t := &computeTable[T]{}
-	for s := range t.shards {
-		t.shards[s].entries = make([]ctEntry[T], per)
-		t.shards[s].mask = uint64(per - 1)
-	}
-	return t
+}
+
+// slot returns the entry a key hash maps to.
+func (t *computeTable[T]) slot(h uint64) *ctEntry[T] {
+	return &t.entries[h>>(64-ctBlockBits)<<t.blockBits|h&t.mask]
 }
 
 func (t *computeTable[T]) clear() {
-	for s := range t.shards {
-		sh := &t.shards[s]
-		for i := range sh.entries {
-			sh.entries[i] = ctEntry[T]{}
-		}
-		sh.filled = 0
-		sh.lookups, sh.hits = 0, 0
-	}
-}
-
-func (t *computeTable[T]) counters() (lookups, hits uint64) {
-	for s := range t.shards {
-		lookups += t.shards[s].lookups
-		hits += t.shards[s].hits
-	}
-	return lookups, hits
-}
-
-func (t *computeTable[T]) filledTotal() int {
-	n := 0
-	for s := range t.shards {
-		n += t.shards[s].filled
-	}
-	return n
-}
-
-func (t *computeTable[T]) capacity() int {
-	n := 0
-	for s := range t.shards {
-		n += len(t.shards[s].entries)
-	}
-	return n
+	clear(t.entries)
+	t.filled = 0
+	t.lookups, t.hits = 0, 0
 }
 
 func (t *computeTable[T]) get(k ctKey) (Edge[T], bool) {
-	h := k.hash()
-	sh := &t.shards[shardOf(h)]
-	if t.shared {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
-	sh.lookups++
-	e := &sh.entries[h&sh.mask]
+	t.lookups++
+	e := t.slot(k.hash())
 	if e.key == k {
-		sh.hits++
+		t.hits++
 		return e.val, true
 	}
 	var zero Edge[T]
@@ -135,15 +103,9 @@ func (t *computeTable[T]) get(k ctKey) (Edge[T], bool) {
 }
 
 func (t *computeTable[T]) put(k ctKey, val Edge[T]) {
-	h := k.hash()
-	sh := &t.shards[shardOf(h)]
-	if t.shared {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
-	e := &sh.entries[h&sh.mask]
+	e := t.slot(k.hash())
 	if e.key.op == ctFree {
-		sh.filled++
+		t.filled++
 	}
 	e.key, e.val = k, val
 }

@@ -15,8 +15,8 @@ package core
 // equality comparisons among them remain valid across a Prune.
 
 // Prune drops every node not reachable from the given roots. It returns the
-// number of nodes removed. Single-threaded: never call while an intra-op
-// worker group is running (the sim/bench layers only prune between gates).
+// number of nodes removed. Call it between operations (the sim/bench layers
+// prune between gates).
 func (m *Manager[T]) Prune(roots ...Edge[T]) int {
 	// Mark with an explicit worklist: the recursion this replaces overflowed
 	// the goroutine stack on deep (≥1e5-level) vector diagrams.
@@ -42,7 +42,7 @@ func (m *Manager[T]) Prune(roots ...Edge[T]) int {
 			push(c.N)
 		}
 	}
-	removed := m.ut.count() - len(live)
+	removed := m.ut.used - len(live)
 
 	// Suspend the budget while rebuilding: the survivor re-interning below
 	// only ever shrinks the tables, and a governor panic mid-rebuild would
@@ -53,16 +53,16 @@ func (m *Manager[T]) Prune(roots ...Edge[T]) int {
 	// Rebuild the intern table from the survivors: dead WIDs are released and
 	// WID 0 stays pinned to zero. Every live node is re-interned (its weights
 	// collapse onto the new canonical representatives), rehashed, and
-	// reinserted into right-sized unique-table shards.
+	// reinserted into a right-sized unique table.
 	survivors := make([]*Node[T], 0, len(live))
 	m.ut.forEach(func(n *Node[T]) {
 		if _, ok := live[n]; ok {
 			survivors = append(survivors, n)
 		}
 	})
-	m.wt.init(shardSizeFor(len(live)*MatrixArity + 1))
-	m.totalWeights.Store(1) // the reserved zero
-	m.ut.init(shardSizeFor(len(live)))
+	m.wt.init(tableSizeFor(len(live)*MatrixArity + 1))
+	m.totalWeights = 1 // the reserved zero
+	m.ut.init(tableSizeFor(len(live)))
 	for _, n := range survivors {
 		for i := range n.E {
 			wid, canon := m.internWeight(n.E[i].W)
@@ -72,7 +72,7 @@ func (m *Manager[T]) Prune(roots ...Edge[T]) int {
 		n.hash = nodeHash(n.Level, n.E, &n.wids)
 		m.ut.insert(n)
 	}
-	m.totalNodes.Store(int64(len(survivors)))
+	m.totalNodes = int64(len(survivors))
 	// Compute-table entries may reference swept nodes or stale WIDs; drop
 	// them all.
 	m.ct.clear()
@@ -84,17 +84,6 @@ func (m *Manager[T]) Prune(roots ...Edge[T]) int {
 	return removed
 }
 
-// shardSizeFor returns a per-shard open-addressing slot count that keeps n
-// entries spread over the shards at a load factor ≤ ½ (and at least the
-// tables' minimum shard size).
-func shardSizeFor(n int) int {
-	size := ceilPow2(2 * (n/tableShardCount + 1))
-	if size < 1<<4 {
-		size = 1 << 4
-	}
-	return size
-}
-
 // AutoPruner returns a per-gate hook suitable for Simulator.Run that prunes
 // whenever the unique table grows beyond highWater nodes, keeping the
 // current state (provided by live) as the root.
@@ -103,7 +92,7 @@ func AutoPruner[T any](m *Manager[T], highWater int, live func() Edge[T]) func()
 		highWater = 1
 	}
 	return func() {
-		if int(m.totalNodes.Load()) > highWater {
+		if int(m.totalNodes) > highWater {
 			m.Prune(live())
 		}
 	}

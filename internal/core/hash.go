@@ -1,7 +1,5 @@
 package core
 
-import "sync"
-
 // Hashing and open-addressed tables for the allocation-free QMDD core.
 //
 // Node uniqueness and operation memoization used to be keyed on canonical
@@ -13,17 +11,9 @@ import "sync"
 // (opTag, node IDs, WIDs). The hit paths compare machine words only — they
 // neither format nor allocate. See DESIGN.md ("Keying and interning").
 //
-// Sharding: each table is striped into tableShardCount independent
-// open-addressed shards selected by the *top* bits of the key hash (the low
-// bits index slots within a shard, so the two selections stay uncorrelated).
-// With intra-run parallelism off (the default) the per-shard mutexes are
-// never touched and the hit paths stay lock-free; Manager.SetIntraWorkers
-// flips the tables into locked mode so a bounded worker group can recurse
-// into independent sub-diagrams of one operation concurrently (DESIGN.md
-// §5.6). The shard split follows the weight-table advice of
-// arXiv:1911.12691: stripe the table, never the value space — a weight or
-// node interns to the same canonical identity whichever goroutine gets
-// there first.
+// Like the paper's package and the JKU package it builds on, each manager
+// owns exactly one weight table, one unique table and one compute table, and
+// touches them from one goroutine at a time: no locks, no striping.
 
 const (
 	fnvOffset uint64 = 14695981039346656037
@@ -61,205 +51,137 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// tableShardCount is the stripe width of every manager table. Shard
-// selection uses the top tableShardBits of the mixed hash.
-const (
-	tableShardBits  = 4
-	tableShardCount = 1 << tableShardBits
-)
+// minTableSize is the initial slot count of the intern and unique tables
+// (and the floor tableSizeFor never goes below).
+const minTableSize = 1 << 8
 
-// shardOf selects the shard for a mixed hash (top bits; the low bits index
-// slots inside the shard).
-func shardOf(h uint64) uint64 { return h >> (64 - tableShardBits) }
+// tableSizeFor returns an open-addressing slot count that holds n entries at
+// a load factor ≤ ½.
+func tableSizeFor(n int) int {
+	return max(ceilPow2(2*(n+1)), minTableSize)
+}
 
-// wtShard is one stripe of the weight intern table: an append-only list of
-// canonical representatives plus an open-addressed index. Lookup is linear
-// probing over cached hashes; candidate values are compared with Ring.Equal
-// only when their hashes match (see Manager.internWeight).
-type wtShard[T any] struct {
-	mu      sync.Mutex
-	weights []T      // local index → canonical representative
-	hashes  []uint64 // local index → mixed hash, cached for growth
-	slots   []uint32 // open-addressed index; 0 = empty, else local+1
+// internTable assigns dense uint32 IDs (WIDs) to distinct weights. WID 0 is
+// reserved for the ring's zero, which the table never stores; every other
+// weight's WID is its index in weights plus one. Lookup is linear probing
+// over cached hashes; candidate values are compared with Ring.Equal only
+// when their hashes match (see Manager.internWeight).
+type internTable[T any] struct {
+	weights []T      // WID−1 → canonical representative
+	hashes  []uint64 // WID−1 → mixed hash, cached for growth
+	slots   []uint32 // open-addressed index; 0 = empty, else WID
 	mask    uint64
 }
 
-// internTable assigns uint32 IDs (WIDs) to distinct weights across
-// tableShardCount stripes. WID 0 is reserved for the ring's zero (stored in
-// no shard); every other weight encodes as (local<<tableShardBits | shard)+1,
-// so a WID resolves without consulting any other shard.
-type internTable[T any] struct {
-	shared bool // take the per-shard locks (intra-parallel mode)
-	shards [tableShardCount]wtShard[T]
-}
-
-func (t *internTable[T]) init(sizePerShard int) {
-	for s := range t.shards {
-		sh := &t.shards[s]
-		sh.weights = sh.weights[:0]
-		sh.hashes = sh.hashes[:0]
-		sh.slots = make([]uint32, sizePerShard)
-		sh.mask = uint64(sizePerShard - 1)
-	}
+func (t *internTable[T]) init(size int) {
+	t.weights = t.weights[:0]
+	t.hashes = t.hashes[:0]
+	t.slots = make([]uint32, size)
+	t.mask = uint64(size - 1)
 }
 
 // count returns the number of interned weights, zero included.
-func (t *internTable[T]) count() int {
-	n := 1 // WID 0, the reserved zero
-	for s := range t.shards {
-		n += len(t.shards[s].weights)
-	}
-	return n
-}
-
-// encodeWID packs a shard and local index into a nonzero WID.
-func encodeWID(shard uint64, local int) uint32 {
-	return (uint32(local)<<tableShardBits | uint32(shard)) + 1
-}
+func (t *internTable[T]) count() int { return len(t.weights) + 1 }
 
 // intern canonicalizes w (with mixed hash h, not the ring's zero class) and
 // returns its WID, the canonical representative, and whether the weight was
-// new. locked toggles the shard mutex.
+// new.
 func (t *internTable[T]) intern(w T, h uint64, equal func(a, b T) bool) (uint32, T, bool) {
-	sh := &t.shards[shardOf(h)]
-	if t.shared {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
-	i := h & sh.mask
+	i := h & t.mask
 	for {
-		s := sh.slots[i]
-		if s == 0 {
+		wid := t.slots[i]
+		if wid == 0 {
 			break
 		}
-		if local := s - 1; sh.hashes[local] == h && equal(sh.weights[local], w) {
-			return encodeWID(shardOf(h), int(local)), sh.weights[local], false
+		if t.hashes[wid-1] == h && equal(t.weights[wid-1], w) {
+			return wid, t.weights[wid-1], false
 		}
-		i = (i + 1) & sh.mask
+		i = (i + 1) & t.mask
 	}
-	local := len(sh.weights)
-	sh.weights = append(sh.weights, w)
-	sh.hashes = append(sh.hashes, h)
-	sh.slots[i] = uint32(local) + 1
-	if uint64(len(sh.weights))*4 >= uint64(len(sh.slots))*3 {
-		sh.grow()
+	t.weights = append(t.weights, w)
+	t.hashes = append(t.hashes, h)
+	wid := uint32(len(t.weights))
+	t.slots[i] = wid
+	if uint64(len(t.weights))*4 >= uint64(len(t.slots))*3 {
+		t.grow()
 	}
-	return encodeWID(shardOf(h), local), w, true
+	return wid, w, true
 }
 
 // lookup resolves a nonzero WID to its canonical representative.
-func (t *internTable[T]) lookup(wid uint32) T {
-	v := wid - 1
-	sh := &t.shards[v&(tableShardCount-1)]
-	if t.shared {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
-	return sh.weights[v>>tableShardBits]
-}
+func (t *internTable[T]) lookup(wid uint32) T { return t.weights[wid-1] }
 
-func (sh *wtShard[T]) grow() {
-	slots := make([]uint32, len(sh.slots)*2)
+func (t *internTable[T]) grow() {
+	slots := make([]uint32, len(t.slots)*2)
 	mask := uint64(len(slots) - 1)
-	for local, h := range sh.hashes {
+	for j, h := range t.hashes {
 		i := h & mask
 		for slots[i] != 0 {
 			i = (i + 1) & mask
 		}
-		slots[i] = uint32(local) + 1
+		slots[i] = uint32(j) + 1 // the WID
 	}
-	sh.slots, sh.mask = slots, mask
+	t.slots, t.mask = slots, mask
 }
 
-// utShard is one stripe of the hash-consing table. Slots hold node pointers
-// directly; every node carries its own key (Level, child pointers, child
-// WIDs) plus its cached hash, so probing is pointer/ID comparisons. The
-// lookup/hit counters live with the shard so the locked path updates them
-// under the same critical section that probes the slots.
-type utShard[T any] struct {
-	mu            sync.Mutex
+// uniqueTable is the open-addressed hash-consing table. Slots hold node
+// pointers directly; every node carries its own key (Level, child pointers,
+// child WIDs) plus its cached hash, so probing is pointer/ID comparisons.
+// Deletion happens only wholesale, in Prune, by rebuilding the table.
+type uniqueTable[T any] struct {
 	slots         []*Node[T]
 	mask          uint64
 	used          int
 	lookups, hits uint64
 }
 
-// uniqueTable is the sharded hash-consing table. Deletion happens only
-// wholesale, in Prune, by rebuilding every shard.
-type uniqueTable[T any] struct {
-	shared bool
-	shards [tableShardCount]utShard[T]
-}
-
-func (t *uniqueTable[T]) init(sizePerShard int) {
-	for s := range t.shards {
-		sh := &t.shards[s]
-		sh.slots = make([]*Node[T], sizePerShard)
-		sh.mask = uint64(sizePerShard - 1)
-		sh.used = 0
-	}
-}
-
-// count returns the live node count across all shards. Only coherent when no
-// concurrent insertions are in flight (Stats is documented as a
-// between-operations snapshot); the budget path uses the manager's atomic
-// counter instead.
-func (t *uniqueTable[T]) count() int {
-	n := 0
-	for s := range t.shards {
-		n += t.shards[s].used
-	}
-	return n
-}
-
-// counters sums the per-shard lookup/hit counters.
-func (t *uniqueTable[T]) counters() (lookups, hits uint64) {
-	for s := range t.shards {
-		lookups += t.shards[s].lookups
-		hits += t.shards[s].hits
-	}
-	return lookups, hits
+func (t *uniqueTable[T]) init(size int) {
+	t.slots = make([]*Node[T], size)
+	t.mask = uint64(size - 1)
+	t.used = 0
 }
 
 // insert adds a node that is known not to be present (Prune's rebuild path;
-// no counters, no locks — the caller is single-threaded).
+// no counters).
 func (t *uniqueTable[T]) insert(n *Node[T]) {
-	sh := &t.shards[shardOf(n.hash)]
-	i := n.hash & sh.mask
-	for sh.slots[i] != nil {
-		i = (i + 1) & sh.mask
+	i := n.hash & t.mask
+	for t.slots[i] != nil {
+		i = (i + 1) & t.mask
 	}
-	sh.slots[i] = n
-	sh.used++
-	if uint64(sh.used)*4 >= uint64(len(sh.slots))*3 {
-		sh.grow()
+	t.slots[i] = n
+	t.added()
+}
+
+// added accounts for a node just stored in a slot, growing the table past a
+// ¾ load factor.
+func (t *uniqueTable[T]) added() {
+	t.used++
+	if uint64(t.used)*4 >= uint64(len(t.slots))*3 {
+		t.grow()
 	}
 }
 
-func (sh *utShard[T]) grow() {
-	old := sh.slots
-	sh.slots = make([]*Node[T], len(old)*2)
-	sh.mask = uint64(len(sh.slots) - 1)
+func (t *uniqueTable[T]) grow() {
+	old := t.slots
+	t.slots = make([]*Node[T], len(old)*2)
+	t.mask = uint64(len(t.slots) - 1)
 	for _, n := range old {
 		if n == nil {
 			continue
 		}
-		i := n.hash & sh.mask
-		for sh.slots[i] != nil {
-			i = (i + 1) & sh.mask
+		i := n.hash & t.mask
+		for t.slots[i] != nil {
+			i = (i + 1) & t.mask
 		}
-		sh.slots[i] = n
+		t.slots[i] = n
 	}
 }
 
-// forEach visits every live node (single-threaded callers only: Prune,
-// tests).
+// forEach visits every live node.
 func (t *uniqueTable[T]) forEach(f func(n *Node[T])) {
-	for s := range t.shards {
-		for _, n := range t.shards[s].slots {
-			if n != nil {
-				f(n)
-			}
+	for _, n := range t.slots {
+		if n != nil {
+			f(n)
 		}
 	}
 }

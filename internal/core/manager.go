@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/coeff"
@@ -81,13 +80,9 @@ func (s Stats) CTLoadFactor() float64 {
 // policy for one family of QMDDs. All diagrams combined by manager
 // operations must come from the same manager.
 //
-// Concurrency: by default a Manager is single-threaded — run parallel
-// experiments on separate managers (as the benchmark harness does). With
-// SetIntraWorkers(k>1) the manager enters shared mode: its sharded tables
-// take per-shard locks and a single Add/ApplyLocal call may recurse into
-// independent sub-diagrams on a bounded worker group (see ops_parallel.go and
-// DESIGN.md §5.6). Even in shared mode, distinct top-level operations must
-// not be issued concurrently; the parallelism is *inside* one operation.
+// Concurrency: a Manager is single-threaded — its tables take no locks. Run
+// parallel experiments on separate managers, as the benchmark harness and
+// the engine's workers do.
 type Manager[T any] struct {
 	R    coeff.Ring[T]
 	Norm NormScheme
@@ -98,25 +93,14 @@ type Manager[T any] struct {
 	wt       internTable[T]
 	ut       uniqueTable[T]
 	ct       *computeTable[T]
-	nextID   atomic.Uint64
-	gateSeq  atomic.Uint64 // LocalGate registry IDs (apply.go)
-	stats    Stats         // Prune counters only; table counters live in the shards
-	pruneGen uint64        // bumped by every Prune; Samplers capture it to detect staleness
+	nextID   uint64
+	gateSeq  uint64 // LocalGate registry IDs (apply.go)
+	stats    Stats  // Prune counters only; table counters live in the tables
+	pruneGen uint64 // bumped by every Prune; Samplers capture it to detect staleness
 
-	// Intra-operation parallelism (ops_parallel.go). shared mirrors
-	// intraWorkers>1 into one branch-predictable bool consulted by the
-	// recursion; the tables carry their own copy. spawn0 is the fork budget
-	// handed to each top-level operation and sem bounds the extra worker
-	// goroutines at intraWorkers−1 tokens.
-	intraWorkers int
-	shared       bool
-	spawn0       int
-	sem          chan struct{}
-
-	// Live-population counters, atomic so concurrent shard insertions meter
-	// the budget coherently without a global lock.
-	totalNodes   atomic.Int64
-	totalWeights atomic.Int64
+	// Live-population counters, metered against the budget.
+	totalNodes   int64
+	totalWeights int64
 
 	// Run governor (budget.go): optional resource budget, optional
 	// cooperative-cancellation context, and always-on peak tracking. budget,
@@ -125,9 +109,9 @@ type Manager[T any] struct {
 	budget      Budget
 	ctx         context.Context
 	budgetStart time.Time
-	budgetTick  atomic.Uint64
-	peakNodes   atomic.Int64
-	peakWeights atomic.Int64
+	budgetTick  uint64
+	peakNodes   int64
+	peakWeights int64
 }
 
 // Option configures a Manager at construction time.
@@ -162,7 +146,7 @@ func NewManager[T any](r coeff.Ring[T], norm NormScheme, opts ...Option) *Manage
 		R:            r,
 		Norm:         norm,
 		ct:           newComputeTable[T](o.ctSize),
-		intraWorkers: 1,
+		totalWeights: 1, // WID 0, pinned to the ring's zero
 		budgetStart:  time.Now(),
 	}
 	if h, ok := any(r).(coeff.Hasher[T]); ok {
@@ -172,52 +156,16 @@ func NewManager[T any](r coeff.Ring[T], norm NormScheme, opts ...Option) *Manage
 	}
 	m.zeroW = r.Zero()
 	m.zeroHash = mix64(m.hashW(m.zeroW))
-	m.wt.init(1 << 4)
-	m.ut.init(1 << 4)
-	m.totalWeights.Store(1) // WID 0, pinned to the ring's zero
+	m.wt.init(minTableSize)
+	m.ut.init(minTableSize)
 	return m
 }
-
-// SetIntraWorkers sets the number of goroutines a single operation may
-// recurse on (ops_parallel.go). k ≤ 1 restores the default single-threaded
-// mode, in which the table shard locks are never touched. k > 1 requires a
-// coefficient ring that is safe for concurrent use (coeff.ConcurrentRing);
-// rings that are not — the ε>0 numerical ring, whose nearest-wins interning
-// is insertion-order-dependent — are silently clamped to 1 so results stay
-// deterministic. Must not be called while an operation is in flight.
-func (m *Manager[T]) SetIntraWorkers(k int) {
-	if k < 1 {
-		k = 1
-	}
-	if k > 1 {
-		cr, ok := any(m.R).(coeff.ConcurrentRing)
-		if !ok || !cr.ConcurrentSafe() {
-			k = 1
-		}
-	}
-	m.intraWorkers = k
-	shared := k > 1
-	m.shared = shared
-	m.wt.shared = shared
-	m.ut.shared = shared
-	m.ct.shared = shared
-	m.spawn0 = spawnFor(k)
-	if shared {
-		m.sem = make(chan struct{}, k-1)
-	} else {
-		m.sem = nil
-	}
-}
-
-// IntraWorkers returns the effective intra-operation worker count (after the
-// concurrency-safety clamp of SetIntraWorkers).
-func (m *Manager[T]) IntraWorkers() int { return m.intraWorkers }
 
 // internWeight canonicalizes w through the per-manager intern table and
 // returns its weight ID plus the canonical representative. The hit path
 // hashes w (via the ring's Hasher fast path when available) and compares
 // candidates with Ring.Equal — no strings, no allocation. The ring's zero
-// maps to the reserved WID 0 without touching any shard.
+// maps to the reserved WID 0 without touching the table.
 func (m *Manager[T]) internWeight(w T) (uint32, T) {
 	h := mix64(m.hashW(w))
 	if h == m.zeroHash && m.R.Equal(m.zeroW, w) {
@@ -245,16 +193,15 @@ func (m *Manager[T]) Weight(wid uint32) T {
 	return m.wt.lookup(wid)
 }
 
-// Stats returns a snapshot of the manager counters. Coherent only between
-// operations (shard counters are summed without a global lock).
+// Stats returns a snapshot of the manager counters.
 func (m *Manager[T]) Stats() Stats {
 	s := m.stats
-	s.UniqueNodes = m.ut.count()
-	s.UniqueLookups, s.UniqueHits = m.ut.counters()
+	s.UniqueNodes = m.ut.used
+	s.UniqueLookups, s.UniqueHits = m.ut.lookups, m.ut.hits
 	s.InternedWeights = m.wt.count()
-	s.CTLookups, s.CTHits = m.ct.counters()
-	s.CTEntries = m.ct.filledTotal()
-	s.CTCapacity = m.ct.capacity()
+	s.CTLookups, s.CTHits = m.ct.lookups, m.ct.hits
+	s.CTEntries = m.ct.filled
+	s.CTCapacity = len(m.ct.entries)
 	return s
 }
 
@@ -327,12 +274,9 @@ func (m *Manager[T]) MakeNode(level int, es []Edge[T]) Edge[T] {
 }
 
 // internNode hash-conses the normalized edge vector: each weight is interned
-// to its WID, the (level, child IDs, WIDs) key is hashed, and the owning
-// unique-table shard is probed. In shared mode the probe and the insert form
-// one critical section under the shard mutex, so two workers racing to
-// create the same node converge on a single canonical instance. es is
-// scratch owned by the caller — it is copied only when a new node is
-// created.
+// to its WID, the (level, child IDs, WIDs) key is hashed, and the unique
+// table is probed. es is scratch owned by the caller — it is copied only when
+// a new node is created.
 func (m *Manager[T]) internNode(level int, es []Edge[T]) *Node[T] {
 	var wids [MatrixArity]uint32
 	for i := range es {
@@ -341,32 +285,26 @@ func (m *Manager[T]) internNode(level int, es []Edge[T]) *Node[T] {
 		es[i].W = canon // share the canonical representative
 	}
 	h := nodeHash(level, es, &wids)
-	sh := &m.ut.shards[shardOf(h)]
-	if m.ut.shared {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
-	sh.lookups++
-	i := h & sh.mask
+	t := &m.ut
+	t.lookups++
+	i := h & t.mask
 	for {
-		n := sh.slots[i]
+		n := t.slots[i]
 		if n == nil {
 			break
 		}
 		if n.hash == h && n.Level == level && len(n.E) == len(es) && sameKids(n, es, &wids) {
-			sh.hits++
+			t.hits++
 			return n
 		}
-		i = (i + 1) & sh.mask
+		i = (i + 1) & t.mask
 	}
 	kids := make([]Edge[T], len(es))
 	copy(kids, es)
-	n := &Node[T]{ID: m.nextID.Add(1), Level: level, E: kids, wids: wids, hash: h}
-	sh.slots[i] = n
-	sh.used++
-	if uint64(sh.used)*4 >= uint64(len(sh.slots))*3 {
-		sh.grow()
-	}
+	m.nextID++
+	n := &Node[T]{ID: m.nextID, Level: level, E: kids, wids: wids, hash: h}
+	t.slots[i] = n
+	t.added()
 	m.noteNode()
 	return n
 }

@@ -25,7 +25,8 @@ func (r *Ring) Eps() float64 { return r.T.Tol }
 // goroutines at once (coeff.ConcurrentRing). True only at ε ≤ 0, where
 // Table.Lookup returns its argument unchanged and never mutates the table;
 // with ε > 0 the nearest-wins interning both races and makes canonical
-// representatives insertion-order-dependent.
+// representatives insertion-order-dependent. Managers never share a ring
+// across goroutines themselves; the marker documents the property.
 func (r *Ring) ConcurrentSafe() bool { return r.T.Tol <= 0 }
 
 // Exact reports that complex128 arithmetic is not exact (coeff.ExactRing):
