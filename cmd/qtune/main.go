@@ -7,7 +7,7 @@
 // Usage examples:
 //
 //	qtune -alg grover -n 8
-//	qtune -alg bwt -depth 5 -steps 24 -maxnodes 500 -maxerror 1e-10
+//	qtune -alg bwt -depth 5 -steps 24 -max-nodes 500 -maxerror 1e-10
 package main
 
 import (
@@ -28,25 +28,21 @@ import (
 
 func main() {
 	var (
-		algName   = flag.String("alg", "grover", "workload: grover, bwt, dj, bv")
-		n         = flag.Int("n", 8, "grover/dj/bv: input qubits")
-		depth     = flag.Int("depth", 5, "bwt: tree depth")
-		steps     = flag.Int("steps", 24, "bwt: walk steps")
-		maxNodes  = flag.Int("maxnodes", 0, "node budget (default: 4× the exact size)")
-		maxNodes2 = flag.Int("max-nodes", 0, "alias for -maxnodes")
-		maxErr    = flag.Float64("maxerror", 1e-10, "final-state error budget")
-		epsFlag   = flag.String("eps", "1e-3,1e-5,1e-10,1e-13,1e-15", "candidate tolerances, largest first")
-		timeout   = flag.Duration("timeout", 0, "wall-clock budget for the whole tuning session (0 = none); partial trials are reported on expiry")
-		parallel  = flag.Int("parallel", 0, "worker pool for the candidate trials, each on private managers (0 = GOMAXPROCS, 1 = sequential); the trial table is identical for every setting")
+		algName  = flag.String("alg", "grover", "workload: grover, bwt, dj, bv")
+		n        = flag.Int("n", 8, "grover/dj/bv: input qubits")
+		depth    = flag.Int("depth", 5, "bwt: tree depth")
+		steps    = flag.Int("steps", 24, "bwt: walk steps")
+		maxNodes = flag.Int("max-nodes", 0, "node budget (default: 4× the exact size)")
+		maxErr   = flag.Float64("maxerror", 1e-10, "final-state error budget")
+		epsFlag  = flag.String("eps", "1e-3,1e-5,1e-10,1e-13,1e-15", "candidate tolerances, largest first")
+		timeout  = flag.Duration("timeout", 0, "wall-clock budget for the whole tuning session (0 = none); partial trials are reported on expiry")
+		parallel = flag.Int("parallel", 0, "worker pool for the candidate trials, each on private managers (0 = GOMAXPROCS, 1 = sequential); the trial table is identical for every setting")
 	)
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *showVersion {
 		fmt.Println("qtune", buildinfo.Read())
 		return
-	}
-	if *maxNodes == 0 {
-		*maxNodes = *maxNodes2
 	}
 
 	var c *circuit.Circuit

@@ -431,6 +431,11 @@ func (p *parser) parseGate(nameTok token) ([]pendingGate, error) {
 			default:
 				return nil, p.errf(nameTok, "mismatched register sizes in %s", nameTok.text)
 			}
+			for _, prev := range args[:j] {
+				if prev == args[j] {
+					return nil, p.errf(nameTok, "qubit %d used twice in one %s", args[j], nameTok.text)
+				}
+			}
 		}
 		if def != nil {
 			expanded, err := p.expandDef(def, params, args, nameTok.line)

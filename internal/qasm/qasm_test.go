@@ -402,6 +402,12 @@ func TestParseErrorTyped(t *testing.T) {
 		{"lowering arity", "OPENQASM 2.0;\nqreg q[2];\n\nh q[0], q[1];", 4},
 		{"unsupported gate", "OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];", 3},
 		{"gatedef opaque", "OPENQASM 2.0;\nqreg q[1];\nopaque mystery a;\nmystery q[0];", 4},
+		{"repeated operand", "OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[0];", 3},
+		{"repeated operand broadcast", "OPENQASM 2.0;\nqreg q[2];\ncx q,q[1];", 3},
+		{"repeated operand ccx controls", "OPENQASM 2.0;\nqreg q[3];\nccx q[1],q[1],q[2];", 3},
+		{"repeated operand swap", "OPENQASM 2.0;\nqreg q[2];\nswap q[1],q[1];", 3},
+		{"repeated operand in gate body", "OPENQASM 2.0;\nqreg q[2];\ngate g a,b {\ncx a,a;\n}\ng q[0],q[1];", 4},
+		{"repeated operand into gate", "OPENQASM 2.0;\nqreg q[2];\ngate g a,b { cx a,b; }\ng q[0],q[0];", 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -227,14 +227,23 @@ func TestQueueFull(t *testing.T) {
 	}
 }
 
+// TestParseErrorBody: a program the parser refuses comes back as 400
+// parse_error with the offending line — including a gate applied to one
+// qubit twice, which must be refused before it reaches the circuit IR.
 func TestParseErrorBody(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	resp, _, eb := postJob(t, ts.URL, `{"qasm": "OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];"}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if eb.Kind != KindParseError || eb.Line != 3 {
-		t.Fatalf("error = %+v, want parse_error at line 3", eb)
+	for _, body := range []string{
+		`{"qasm": "OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];"}`,
+		`{"qasm": "OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[0];"}`,
+		`{"qasm": "OPENQASM 2.0;\nqreg q[2];\ngate g a,b { cx a,b; } g q[1],q[1];"}`,
+	} {
+		resp, _, eb := postJob(t, ts.URL, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d", body, resp.StatusCode)
+		}
+		if eb.Kind != KindParseError || eb.Line != 3 {
+			t.Fatalf("%s: error = %+v, want parse_error at line 3", body, eb)
+		}
 	}
 }
 

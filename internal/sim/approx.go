@@ -132,14 +132,8 @@ func (s *Simulator[T]) shedLoad(spendAll bool) bool {
 	return true
 }
 
-// pruneNow sweeps everything not reachable from the live state and the
-// cached gate diagrams — the originals replaced by an approximation event
-// are exactly what it collects.
+// pruneNow sweeps everything not reachable from the live state — the
+// originals replaced by an approximation event are exactly what it collects.
 func (s *Simulator[T]) pruneNow() int {
-	roots := make([]core.Edge[T], 0, len(s.gateCache)+1)
-	roots = append(roots, s.State)
-	for _, e := range s.gateCache {
-		roots = append(roots, e)
-	}
-	return s.M.Prune(roots...)
+	return s.M.Prune(s.State)
 }

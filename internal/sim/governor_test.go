@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -210,35 +211,35 @@ func TestNoPanicEscapesExportedAPIs(t *testing.T) {
 // full table after every gate while reclaiming almost nothing. The guard
 // raises the watermark to twice the live size whenever a sweep reclaims
 // under 10%, so the number of prunes stays far below the gate count. The
-// near-useless-sweep regime needs a table dominated by pinned roots, so the
-// gate diagrams are cached up front (the local apply path alone leaves too
-// little pinned for sweeps to be useless).
+// near-useless-sweep regime needs a table dominated by live nodes: a random
+// Clifford+T prefix grows a ~1000-node state, and the tail's diagonal gates
+// on qubit 0 (the top level) reweight only the root, orphaning one node per
+// gate.
 func TestAutoPruneThrashGuard(t *testing.T) {
-	const n = 16
-	c := circuit.New("ghz", n)
-	c.H(0)
-	for q := 1; q < n; q++ {
-		c.CX(q-1, q)
-	}
+	const n = 10
 	m := numM(0)
 	s := New(m, n)
-	s.EnableAutoPrune(4) // far below the live working set from the start
-	for _, g := range c.Gates {
-		if _, err := s.GateDD(g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Run(c, nil); err != nil {
+	if err := s.Run(randomCliffordT(rand.New(rand.NewSource(75)), n, 200), nil); err != nil {
 		t.Fatal(err)
 	}
-	prunes := m.Stats().Prunes
+	m.Prune(s.State)
+	tail := circuit.New("diag0", n)
+	for i := 0; i < 20; i++ {
+		tail.T(0).S(0)
+	}
+	s.EnableAutoPrune(4) // far below the live working set
+	before := m.Stats().Prunes
+	if err := s.Run(tail, nil); err != nil {
+		t.Fatal(err)
+	}
+	prunes := m.Stats().Prunes - before
 	if prunes == 0 {
 		t.Fatal("auto-prune never ran; watermark not exercised")
 	}
-	// Without the guard every one of the n gates past the watermark sweeps
-	// the table (≈ n prunes). With it the watermark doubles after each
-	// near-useless sweep, so the count is logarithmic in the final size.
+	// Without the guard every one of the tail gates sweeps the table. With
+	// it the first near-useless sweep doubles the watermark past anything
+	// the tail's garbage can reach.
 	if int(prunes) > 6 {
-		t.Fatalf("thrash guard ineffective: %d prunes over %d gates", prunes, c.Len())
+		t.Fatalf("thrash guard ineffective: %d prunes over %d gates", prunes, tail.Len())
 	}
 }

@@ -1,8 +1,8 @@
-// Package sim drives QMDD-based simulation of quantum circuits: it turns
-// circuit gates into gate diagrams, evolves a state vector by matrix-vector
-// multiplication (or builds the full unitary by matrix-matrix
-// multiplication), and records the per-gate statistics the paper plots —
-// diagram size, run time, and coefficient bit widths.
+// Package sim drives QMDD-based simulation of quantum circuits: it applies
+// circuit gates to a state diagram (or to the full unitary) through the
+// identity-skipping local path, core.ApplyLocal, and records the per-gate
+// statistics the paper plots — diagram size, run time, and coefficient bit
+// widths.
 package sim
 
 import (
@@ -23,7 +23,6 @@ type Simulator[T any] struct {
 	N     int
 	State core.Edge[T]
 
-	gateCache  map[string]core.Edge[T]
 	localCache map[string]*core.LocalGate[T]
 	// pruneHighWater is the active auto-prune watermark; the thrash guard
 	// may raise it during a run. pruneConfigured remembers the caller's
@@ -39,7 +38,7 @@ type Simulator[T any] struct {
 
 // EnableAutoPrune garbage-collects the manager whenever its unique table
 // exceeds highWater nodes after a gate application, keeping the current
-// state and all cached gate diagrams alive. Pass 0 to disable (the default).
+// state alive. Pass 0 to disable (the default).
 // When a prune reclaims less than 10% of the table — the live working set
 // itself has outgrown the watermark — the watermark is raised to twice the
 // live size, so a saturated table costs one cheap comparison per gate
@@ -65,7 +64,6 @@ func New[T any](m *core.Manager[T], n int) *Simulator[T] {
 		M:           m,
 		N:           n,
 		State:       m.BasisState(n, 0),
-		gateCache:   make(map[string]core.Edge[T]),
 		localCache:  make(map[string]*core.LocalGate[T]),
 		approxState: freshApproxState(),
 	}
@@ -75,20 +73,16 @@ func New[T any](m *core.Manager[T], n int) *Simulator[T] {
 // the simulator's run-local policy state: the auto-prune watermark goes
 // back to its configured value (a thrash-guard raise from a previous
 // table-saturating run must not leave the reused simulator effectively
-// prune-free), the approximation accounting is cleared (the policy itself
-// persists, like the configured watermark), and the gate-diagram cache is
-// dropped (cached DDs are prune
-// roots, so carrying them across circuits would pin dead gate diagrams
-// forever). The manager's tables are left as-is — the next prune sweeps
-// what the dropped cache no longer protects. The local-gate cache is kept:
-// prepared local gates store ring values, never diagram edges, so they pin
-// nothing and stay valid across Prune and Reset alike.
+// prune-free), and the approximation accounting is cleared (the policy itself
+// persists, like the configured watermark). The manager's tables are left
+// as-is — the next prune sweeps the previous circuit's nodes. The local-gate
+// cache is kept: prepared local gates store ring values, never diagram
+// edges, so they pin nothing and stay valid across Prune and Reset alike.
 func (s *Simulator[T]) Reset() {
 	defer s.M.SetBudget(s.M.Budget())
 	s.M.SetBudget(core.Budget{})
 	s.pruneHighWater = s.pruneConfigured
 	s.approxState = freshApproxState()
-	s.gateCache = make(map[string]core.Edge[T])
 	s.State = s.M.BasisState(s.N, 0)
 }
 
@@ -137,28 +131,9 @@ func gateKey(g circuit.Gate, n int) string {
 	return sb.String()
 }
 
-// GateDD returns (and caches) the diagram of a gate over n qubits.
-func (s *Simulator[T]) GateDD(g circuit.Gate) (core.Edge[T], error) {
-	key := gateKey(g, s.N)
-	if dd, ok := s.gateCache[key]; ok {
-		return dd, nil
-	}
-	base, err := baseFor(s.M, g)
-	if err != nil {
-		return core.Edge[T]{}, err
-	}
-	ctrls := make([]gates.Control, len(g.Controls))
-	for i, c := range g.Controls {
-		ctrls[i] = gates.Control{Qubit: c.Qubit, Neg: c.Neg}
-	}
-	dd := gates.BuildDD(s.M, s.N, base, g.Target, ctrls)
-	s.gateCache[key] = dd
-	return dd, nil
-}
-
 // LocalGate returns (and caches) the identity-skipping local form of a gate,
-// ready for core.ApplyLocal. Unlike GateDD's matrix diagrams, prepared local
-// gates hold ring values only — they are not prune roots and never expire.
+// ready for core.ApplyLocal. Prepared local gates hold ring values only —
+// they are not prune roots and never expire.
 func (s *Simulator[T]) LocalGate(g circuit.Gate) (lg *core.LocalGate[T], err error) {
 	key := gateKey(g, s.N)
 	if lg, ok := s.localCache[key]; ok {

@@ -215,21 +215,22 @@ func TestBuildUnitaryAndEquivalence(t *testing.T) {
 	}
 }
 
-// TestGateCache: repeated application of the same gate reuses the cached DD.
+// TestGateCache: repeated application of the same gate reuses the cached
+// prepared local gate.
 func TestGateCache(t *testing.T) {
 	m := algM(core.NormLeft)
 	s := New(m, 4)
 	g := circuit.Gate{Name: "h", Target: 2}
-	d1, err := s.GateDD(g)
+	l1, err := s.LocalGate(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := s.GateDD(g)
+	l2, err := s.LocalGate(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1.N != d2.N {
-		t.Fatal("gate DD not cached")
+	if l1 != l2 {
+		t.Fatal("local gate not cached")
 	}
 }
 
